@@ -48,10 +48,8 @@ var hotallocFiles = map[string]bool{
 	"bipartite.go":  true,
 	"scratch.go":    true,
 	"matching.go":   true,
-	// internal/core: per-data-graph loops.
-	"vcfv.go":     true,
-	"parallel.go": true,
-	"ivcfv.go":    true,
+	// internal/core: the per-data-graph loop every engine runs (runGraphs).
+	"driver.go": true,
 	// internal/telemetry: the per-query fast path — fingerprinting
 	// (refinement loops over pooled buffers), event construction, the
 	// sampling decision in Emit, and Profile.Record's eviction scan — must

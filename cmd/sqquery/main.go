@@ -33,7 +33,7 @@ func main() {
 	flag.StringVar(&opts.Engine, "engine", "CFQL", "engine name")
 	flag.DurationVar(&opts.Budget, "budget", 10*time.Minute, "per-query time budget")
 	flag.DurationVar(&opts.IndexBudget, "index-budget", 24*time.Hour, "index construction budget")
-	flag.IntVar(&opts.Workers, "workers", 6, "verification workers for the Grapes engines")
+	flag.IntVar(&opts.Workers, "workers", 6, "verification workers for the indexed engines and CFQL-parallel")
 	flag.BoolVar(&opts.Verbose, "v", false, "print per-query results")
 	flag.BoolVar(&opts.Explain, "explain", false,
 		"print a per-query EXPLAIN report: filter-stage candidate counts, index probe stats, matching order")

@@ -37,7 +37,9 @@ type Config struct {
 	IndexBudget time.Duration
 	// QueryBudget bounds each query (paper: 10min). Default 5s.
 	QueryBudget time.Duration
-	// Workers is the parallelism for the Grapes configurations (paper: 6).
+	// Workers is the parallelism of index construction and of per-graph
+	// verification on every indexed engine and CFQL-parallel (paper: 6,
+	// Grapes' configuration); it is passed to all of them.
 	Workers int
 	// Out receives the rendered tables; nil discards them.
 	Out io.Writer
@@ -131,11 +133,8 @@ func NewEngine(name string) (core.Engine, error) {
 
 // IsIndexed reports whether the named engine builds a persistent index.
 func IsIndexed(name string) bool {
-	switch name {
-	case "CT-Index", "Grapes", "GGSX", "vcGrapes", "vcGGSX", "GraphGrep", "gIndex":
-		return true
-	}
-	return false
+	e, err := NewEngine(name)
+	return err == nil && core.HasIndex(e)
 }
 
 // querySets generates the twelve query sets (4 sizes × sparse/dense/

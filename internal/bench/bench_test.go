@@ -58,15 +58,17 @@ func TestNewEngineKnowsAllNames(t *testing.T) {
 }
 
 func TestIsIndexed(t *testing.T) {
-	for _, name := range []string{"CT-Index", "Grapes", "GGSX", "vcGrapes", "vcGGSX"} {
-		if !IsIndexed(name) {
-			t.Errorf("IsIndexed(%q) = false", name)
+	indexFree := map[string]bool{
+		"Scan-VF2": true, "CFL": true, "GraphQL": true, "CFQL": true,
+		"TurboIso": true, "CFQL-parallel": true,
+	}
+	for _, name := range ExtensionEngines {
+		if got := IsIndexed(name); got == indexFree[name] {
+			t.Errorf("IsIndexed(%q) = %v", name, got)
 		}
 	}
-	for _, name := range []string{"CFL", "GraphQL", "CFQL", "Scan-VF2"} {
-		if IsIndexed(name) {
-			t.Errorf("IsIndexed(%q) = true", name)
-		}
+	if IsIndexed("bogus") {
+		t.Error(`IsIndexed("bogus") = true`)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sort"
 	"sync"
 	"time"
 
@@ -180,56 +181,34 @@ func (e *Cached) verifyPool(q *graph.Graph, pool []int, confirmed map[int]bool, 
 	h.SetPhase(inflight.PhaseVerify)
 	h.SetGraphsTotal(len(pool))
 	h.AddCandidates(len(pool))
-	step := func(gid int) (r matching.Result, qe *QueryError) {
-		defer graphGuard(e.Name(), gid, o, &qe)
-		var tv time.Time
-		if o != nil {
-			tv = time.Now()
-		}
-		r = (matching.CFQL{}).FindFirst(q, e.db.Graph(gid), matching.Options{
-			Deadline:   opts.Deadline,
-			Cancel:     opts.Cancel,
-			StepBudget: opts.StepBudgetPerGraph,
-			Progress:   h.StepCounter(),
-		})
-		if o != nil {
-			o.ObserveVerify(gid, r.Steps, time.Since(tv), r.Found())
-		}
-		return r, nil
-	}
 	t0 := time.Now()
-	for _, gid := range pool {
-		if confirmed[gid] {
-			// Supergraph hit: answered without a subgraph isomorphism
-			// test, so no verification event is emitted.
+	// Graphs confirmed by a supergraph hit are answers without a subgraph
+	// isomorphism test, so they emit no verification event; only the rest
+	// of the pool is tested.
+	rest := pool
+	if len(confirmed) > 0 {
+		rest = nil
+		for _, gid := range pool {
+			if !confirmed[gid] {
+				rest = append(rest, gid)
+				continue
+			}
 			res.Answers = append(res.Answers, gid)
 			h.GraphDone()
 			h.AddAnswers(1)
-			continue
-		}
-		if halt(&opts, res) {
-			break
-		}
-		r, qe := step(gid)
-		h.GraphDone()
-		if qe != nil {
-			recordGraphError(res, qe)
-			continue
-		}
-		res.VerifySteps += r.Steps
-		if r.Aborted {
-			noteAbort(&opts, res)
-		}
-		if r.Found() {
-			res.Answers = append(res.Answers, gid)
-			h.AddAnswers(1)
 		}
 	}
+	runGraphs(e.Name(), rest, len(rest), 1, &opts, res, matchTest(cfqlMatch, e.db, q, &opts))
+	sort.Ints(res.Answers)
 	res.VerifyTime = time.Since(t0)
 	if o != nil {
 		o.ObservePhase(obs.PhaseVerify, res.VerifyTime)
 	}
 	return res
+}
+
+func cfqlMatch(q, g *graph.Graph, opts matching.Options) matching.Result {
+	return matching.CFQL{}.FindFirst(q, g, opts)
 }
 
 // store inserts the (query, answers) pair, evicting the oldest entry when

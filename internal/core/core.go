@@ -45,6 +45,16 @@ type Engine interface {
 	IndexMemory() int64
 }
 
+// Updatable is implemented by engines that can incorporate a newly
+// appended data graph without a full index rebuild. All vcFV engines
+// qualify trivially (they are index-free); IFV/IvcFV engines qualify when
+// their index supports incremental insertion (see index.Appender).
+type Updatable interface {
+	// AppendGraph adds g to the engine's database and updates any index,
+	// returning the new graph's id.
+	AppendGraph(g *graph.Graph) (int, error)
+}
+
 // BuildOptions bounds index construction; vcFV engines ignore it.
 type BuildOptions struct {
 	// Deadline aborts index construction (paper: 24 hours).
@@ -80,8 +90,11 @@ type QueryOptions struct {
 	// StepBudgetPerGraph bounds each subgraph isomorphism test's search
 	// steps, a deterministic timeout proxy for tests. 0 = unlimited.
 	StepBudgetPerGraph uint64
-	// Workers parallelizes per-graph verification where supported
-	// (the Grapes configurations). 0 selects 1.
+	// Workers sizes the worker pool that tests data graphs on the indexed
+	// engines (IFV and IvcFV) and on CFQL-parallel; 0 selects the engine's
+	// default (6 for Grapes, vcGrapes and CFQL-parallel, sequential for the
+	// others). CFL, GraphQL, CFQL, Scan-VF2 and TurboIso always run
+	// sequentially. The pool is clamped to runtime.GOMAXPROCS(0).
 	Workers int
 	// Observer, when non-nil, receives streaming telemetry as the query
 	// executes: phase spans (obs.PhaseFilter, obs.PhaseVerify — their

@@ -143,15 +143,29 @@ func TestAllEnginesAgree(t *testing.T) {
 				q = randomConnected(r, 2+r.Intn(4), r.Intn(3), 2)
 			}
 			want := trueAnswers(db, q)
+			candidates := map[string]int{}
 			for name, e := range engines {
-				res := e.Query(q, QueryOptions{})
-				if res.TimedOut {
-					t.Fatalf("trial %d: %s timed out without a deadline", trial, name)
+				for _, workers := range []int{1, 4} {
+					res := e.Query(q, QueryOptions{Workers: workers})
+					if res.TimedOut {
+						t.Fatalf("trial %d: %s (workers=%d) timed out without a deadline", trial, name, workers)
+					}
+					if !equalInts(res.Answers, want) {
+						t.Fatalf("trial %d query %d: %s (workers=%d) answered %v, want %v",
+							trial, k, name, workers, res.Answers, want)
+					}
+					// C(q) does not depend on how the graphs are spread
+					// over workers. (The cached engine's second run is a
+					// cache hit, whose candidate pool is the cached answers.)
+					if c, ok := candidates[name]; ok && c != res.Candidates && name != "CFQL+cache" {
+						t.Fatalf("trial %d query %d: %s has %d candidates with 4 workers, %d with 1",
+							trial, k, name, res.Candidates, c)
+					}
+					candidates[name] = res.Candidates
 				}
-				if !equalInts(res.Answers, want) {
-					t.Fatalf("trial %d query %d: %s answered %v, want %v",
-						trial, k, name, res.Answers, want)
-				}
+			}
+			if a, b := candidates["CFQL"], candidates["CFQL-parallel"]; a != b {
+				t.Fatalf("trial %d query %d: CFQL-parallel has %d candidates, CFQL %d", trial, k, b, a)
 			}
 		}
 	}
@@ -224,7 +238,8 @@ func TestQueryTimeSumsPhases(t *testing.T) {
 func TestVcFVIndexFree(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	db := randomDB(r, 8, 8, 2)
-	for _, mk := range []func() Engine{NewCFL, NewGraphQL, NewCFQL} {
+	parallel := func() Engine { return NewParallelCFQL(0) }
+	for _, mk := range []func() Engine{NewCFL, NewGraphQL, NewCFQL, parallel} {
 		e := mk()
 		if err := e.Build(db, BuildOptions{}); err != nil {
 			t.Fatal(err)
@@ -360,28 +375,6 @@ func TestStepBudgetMarksTimeout(t *testing.T) {
 	}
 }
 
-// TestParallelVerificationMatchesSequential: Grapes with 1 and 6 workers
-// must agree.
-func TestParallelVerificationMatchesSequential(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	db := randomDB(r, 20, 8, 2)
-	e := NewGrapes()
-	if err := e.Build(db, BuildOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < 8; k++ {
-		q := walkQuery(r, db.Graph(r.Intn(db.Len())), 1+r.Intn(4))
-		seq := e.Query(q, QueryOptions{Workers: 1})
-		par := e.Query(q, QueryOptions{Workers: 6})
-		if !equalInts(seq.Answers, par.Answers) {
-			t.Fatalf("parallel answers %v != sequential %v", par.Answers, seq.Answers)
-		}
-		if seq.Candidates != par.Candidates {
-			t.Fatalf("parallel candidates %d != sequential %d", par.Candidates, seq.Candidates)
-		}
-	}
-}
-
 // TestAuxMemoryReported: vcFV engines report candidate-set memory on
 // queries with candidates.
 func TestAuxMemoryReported(t *testing.T) {
@@ -404,6 +397,8 @@ func TestEngineNames(t *testing.T) {
 		"Grapes": NewGrapes, "GGSX": NewGGSX, "CT-Index": NewCTIndex,
 		"CFL": NewCFL, "GraphQL": NewGraphQL, "CFQL": NewCFQL,
 		"vcGrapes": NewVcGrapes, "vcGGSX": NewVcGGSX, "Scan-VF2": NewScan,
+		"TurboIso":      NewTurboIso,
+		"CFQL-parallel": func() Engine { return NewParallelCFQL(0) },
 	}
 	for name, mk := range want {
 		if got := mk().Name(); got != name {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"subgraphquery/internal/graph"
-	"subgraphquery/internal/index"
 	"subgraphquery/internal/matching"
 	"subgraphquery/internal/obs"
 )
@@ -18,16 +17,4 @@ func observeOrder(ex *obs.Explain, order []graph.VertexID, cand *matching.Candid
 		steps[i] = obs.OrderStep{Vertex: int(u), Candidates: cand.Count(u)}
 	}
 	ex.ObserveOrder(steps)
-}
-
-// filterIndex probes an engine's index, routing through FilterExplain when
-// the index can report per-probe statistics and an Explain is attached.
-// With ex == nil this is exactly idx.Filter(q).
-func filterIndex(idx index.Index, q *graph.Graph, ex *obs.Explain) []int {
-	if ex != nil {
-		if ei, ok := idx.(index.Explainable); ok {
-			return ei.FilterExplain(q, ex)
-		}
-	}
-	return idx.Filter(q)
 }

@@ -6,36 +6,6 @@ import (
 	"time"
 )
 
-func TestParallelCFQLMatchesSequential(t *testing.T) {
-	r := rand.New(rand.NewSource(71))
-	db := randomDB(r, 30, 9, 2)
-	seq := NewCFQL()
-	par := NewParallelCFQL(4)
-	if err := seq.Build(db, BuildOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := par.Build(db, BuildOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < 10; k++ {
-		q := walkQuery(r, db.Graph(r.Intn(db.Len())), 1+r.Intn(5))
-		a := seq.Query(q, QueryOptions{})
-		b := par.Query(q, QueryOptions{})
-		if !equalInts(a.Answers, b.Answers) {
-			t.Fatalf("parallel answers %v != sequential %v", b.Answers, a.Answers)
-		}
-		if a.Candidates != b.Candidates {
-			t.Fatalf("parallel candidates %d != sequential %d", b.Candidates, a.Candidates)
-		}
-	}
-	if par.IndexMemory() != 0 {
-		t.Error("parallel vcFV should be index-free")
-	}
-	if par.Name() != "CFQL-parallel" {
-		t.Errorf("Name = %q", par.Name())
-	}
-}
-
 func TestParallelCFQLWorkersOption(t *testing.T) {
 	r := rand.New(rand.NewSource(73))
 	db := randomDB(r, 12, 8, 2)

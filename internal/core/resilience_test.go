@@ -18,7 +18,7 @@ func poisonedCFQL(db *graph.Database, poison ...int) Engine {
 	for _, gid := range poison {
 		bad[db.Graph(gid)] = true
 	}
-	return &vcFV{
+	return &engine{
 		name: "CFQL-poisoned",
 		filter: func(q, g *graph.Graph, opts matching.FilterOptions) *matching.Candidates {
 			if bad[g] {
@@ -107,46 +107,52 @@ func TestPanicIsolationSkipsGraph(t *testing.T) {
 
 // TestPanicMidEnumerationReleasesScratch: a panic after filtering (in the
 // ordering/enumeration half of the pipeline) must not strand the query's
-// scratch arena — the deferred ReleaseScratch still runs, and the pool
-// stays usable for the next query.
+// scratch arenas — the deferred ReleaseScratch still runs, and the pool
+// stays usable for the next query. A graph that passed filtering stays a
+// member of C(q) even though its enumeration panicked, sequentially and
+// pooled alike.
 func TestPanicMidEnumerationReleasesScratch(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	db := randomDB(r, 10, 9, 2)
 	q := walkQuery(r, db.Graph(0), 3)
 
-	eng := &vcFV{
-		name:   "CFQL-ordpanic",
-		filter: matching.CFLFilter,
-		order: func(q, g *graph.Graph, cand *matching.Candidates, s *matching.Scratch) []graph.VertexID {
-			panic("mid-pipeline")
-		},
-	}
-	if err := eng.Build(db, BuildOptions{}); err != nil {
-		t.Fatal(err)
-	}
+	for _, workers := range []int{0, 4} {
+		eng := &engine{
+			name:   "CFQL-ordpanic",
+			filter: matching.CFLFilter,
+			order: func(q, g *graph.Graph, cand *matching.Candidates, s *matching.Scratch) []graph.VertexID {
+				panic("mid-pipeline")
+			},
+			workers: workers,
+		}
+		if err := eng.Build(db, BuildOptions{}); err != nil {
+			t.Fatal(err)
+		}
 
-	live := matching.ScratchLive()
-	res := eng.Query(q, QueryOptions{})
-	if got := matching.ScratchLive(); got != live {
-		t.Fatalf("scratch arenas leaked: live %d, was %d", got, live)
-	}
-	if res.Candidates > 0 && res.Skipped != res.Candidates {
-		t.Errorf("Skipped=%d, want every candidate (%d) skipped", res.Skipped, res.Candidates)
-	}
-	if len(res.Answers) != 0 {
-		t.Errorf("answers = %v, want none (every enumeration panicked)", res.Answers)
-	}
+		live := matching.ScratchLive()
+		res := eng.Query(q, QueryOptions{})
+		if got := matching.ScratchLive(); got != live {
+			t.Fatalf("workers=%d: scratch arenas leaked: live %d, was %d", workers, got, live)
+		}
+		if res.Candidates == 0 || res.Skipped != res.Candidates {
+			t.Errorf("workers=%d: Skipped=%d Candidates=%d, want every candidate skipped and graph 0 a candidate",
+				workers, res.Skipped, res.Candidates)
+		}
+		if len(res.Answers) != 0 {
+			t.Errorf("workers=%d: answers = %v, want none (every enumeration panicked)", workers, res.Answers)
+		}
 
-	// The pool is intact: a clean engine answers exactly afterwards.
-	clean := NewCFQL()
-	if err := clean.Build(db, BuildOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if got := clean.Query(q, QueryOptions{}); !equalInts(got.Answers, trueAnswers(db, q)) {
-		t.Errorf("clean query after panics: answers %v, want %v", got.Answers, trueAnswers(db, q))
-	}
-	if got := matching.ScratchLive(); got != live {
-		t.Errorf("scratch arenas leaked after clean query: live %d, was %d", got, live)
+		// The pool is intact: a clean engine answers exactly afterwards.
+		clean := NewCFQL()
+		if err := clean.Build(db, BuildOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if got := clean.Query(q, QueryOptions{}); !equalInts(got.Answers, trueAnswers(db, q)) {
+			t.Errorf("workers=%d: clean query after panics: answers %v, want %v", workers, got.Answers, trueAnswers(db, q))
+		}
+		if got := matching.ScratchLive(); got != live {
+			t.Errorf("workers=%d: scratch arenas leaked after clean query: live %d, was %d", workers, got, live)
+		}
 	}
 }
 
@@ -250,7 +256,7 @@ func TestCancelMidFlight(t *testing.T) {
 
 	cancel := make(chan struct{})
 	started := make(chan struct{}, db.Len()+1)
-	eng := &vcFV{
+	eng := &engine{
 		name: "CFQL-blocking",
 		filter: func(q, g *graph.Graph, opts matching.FilterOptions) *matching.Candidates {
 			started <- struct{}{}
